@@ -51,7 +51,7 @@ def main() -> None:
 
     print(f"\n{alerts} full correlations emitted")
     print("observed selectivities:",
-          {s: round(query.optimizer.selectivity(s) or 0.0, 3) for s in STREAMS})
+          {s: round(query.selectivity_of(s) or 0.0, 3) for s in STREAMS})
     print("plan transitions:", [(seq, order) for seq, order in query.transition_log])
     print("final join order:", query.order)
 

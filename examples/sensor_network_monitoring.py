@@ -9,16 +9,18 @@ This example correlates four sensor feeds of a building — badge readers,
 motion detectors, HVAC controllers and door actuators — on a shared zone
 id.  The workload *drifts*: at first the motion stream rarely matches
 (most selective, so it belongs at the bottom of the plan); later the badge
-stream becomes the selective one.  A :class:`SelectivityOptimizer` watches
-the observed match rates and requests plan transitions; JISC carries them
-out without halting the output.
+stream becomes the selective one.  A :class:`ContinuousQuery` measures
+the match rate of every probe against each stream's window, re-ranks the
+join order by those selectivities, and migrates via JISC without halting
+the output.  A never-migrating reference plan checks that the adaptive
+run emitted exactly the same matches.
 
 Run:  python examples/sensor_network_monitoring.py
 """
 
 import random
 
-from repro import JISCStrategy, Schema, SelectivityOptimizer, StaticPlanExecutor
+from repro import ContinuousQuery, Schema, StaticPlanExecutor
 from repro.streams.tuples import StreamTuple
 
 STREAMS = ("badge", "motion", "hvac", "door")
@@ -47,39 +49,26 @@ def drifting_workload(n_tuples: int, seed: int = 0):
 def main() -> None:
     schema = Schema.uniform(STREAMS, window=150)
     initial = ("hvac", "motion", "door", "badge")
-    jisc = JISCStrategy(schema, initial)
+    query = ContinuousQuery(
+        schema, initial, reoptimize_every=500, selectivity_window=1000
+    )
     reference = StaticPlanExecutor(schema, initial)
-    optimizer = SelectivityOptimizer(tolerance=0.15, min_probes=400)
 
-    tuples = drifting_workload(12_000, seed=42)
-    current = initial
-    transitions = []
-
-    probes_before = {}
-    for i, tup in enumerate(tuples):
-        jisc.process(tup)
+    for tup in drifting_workload(12_000, seed=42):
+        before = query.order
+        query.push_tuple(tup)
         reference.process(tup)
-        # Feed the optimizer: per-stream probe/match statistics from the
-        # scan states (how often a probe against this stream's window hits).
-        if i % 500 == 499:
-            for name in STREAMS:
-                scan_state = jisc.plan.scans[name].state
-                # estimated hit rate: fraction of the key domain present
-                probes = 1000
-                matches = int(probes * min(1.0, scan_state.distinct_count() / ZONES))
-                optimizer.observe(name, probes, matches)
-            proposal = optimizer.propose(current)
-            if proposal is not None:
-                transitions.append((i + 1, current, proposal))
-                print(f"[tuple {i + 1:6d}] optimizer: {current} -> {proposal}")
-                jisc.transition(proposal)
-                current = proposal
+        if query.order != before:
+            print(f"[tuple {tup.seq + 1:6d}] optimizer: {before} -> {query.order}")
 
-    same = sorted(jisc.output_lineages()) == sorted(reference.output_lineages())
-    print(f"\ntransitions performed: {len(transitions)}")
-    print(f"matches emitted: {len(jisc.outputs)} (reference {len(reference.outputs)}, "
+    print("observed selectivities:",
+          {s: round(query.selectivity_of(s) or 0.0, 3) for s in STREAMS})
+    lineages = sorted(t.lineage for t in query.results)
+    same = lineages == sorted(reference.output_lineages())
+    print(f"\ntransitions performed: {len(query.transition_log)}")
+    print(f"matches emitted: {len(query.results)} (reference {len(reference.outputs)}, "
           f"identical={same})")
-    print(f"incomplete states at end: {jisc.incomplete_state_count()}")
+    print(f"incomplete states at end: {query.strategy.incomplete_state_count()}")
     if not same:
         raise SystemExit("outputs diverged — this is a bug")
 

@@ -7,7 +7,7 @@ intermediate results; a join tree over n+1 streams becomes n+1 SteMs.
 
 from __future__ import annotations
 
-from typing import Any, Collection, List
+from typing import Any, List
 
 from repro.engine.metrics import Counter, Metrics
 from repro.operators.state import HashState
@@ -72,18 +72,6 @@ class SteM:
         """All window tuples with join value ``key``, as a fresh list."""
         self.metrics.count(Counter.HASH_PROBE)
         return self.state.get(key)
-
-    def probe_view(self, key: Any) -> Collection[StreamTuple]:
-        """Zero-copy variant of :meth:`probe` for read-only callers.
-
-        Same counting, but returns a live bucket view
-        (:meth:`~repro.operators.state.HashState.get_view`): the caller must
-        not insert into or evict from this SteM while iterating.  The eddy
-        probes all SteMs strictly after inserting the arrival into its own,
-        so its probes qualify.
-        """
-        self.metrics.count(Counter.HASH_PROBE)
-        return self.state.get_view(key)
 
     def __len__(self) -> int:
         return len(self.window)

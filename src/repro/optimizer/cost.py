@@ -1,8 +1,7 @@
 """Incremental left-deep plan cost maintenance from live telemetry.
 
-The cost model is the one :class:`repro.plans.SelectivityOptimizer` has
-always ranked plans by, stated explicitly: for a left-deep probe order
-``(s0, s1, ..., sn)`` the expected per-arrival probe work is
+For a left-deep probe order ``(s0, s1, ..., sn)`` the expected
+per-arrival probe work is
 
     cost(order) = sum_{k=1..n}  prod_{j=1..k-1} sigma(s_j)
 
@@ -21,9 +20,8 @@ estimators already did the windowing incrementally per block — which is
 the "O(1) per block" maintenance the adaptive trigger loop runs on.
 
 This module deliberately imports nothing from the rest of ``repro``:
-it operates on flat stream-name tuples and plain floats, so the plans
-optimizer, the adaptive engine, and the tests all share it without
-import-cycle risk.
+it operates on flat stream-name tuples and plain floats, so the adaptive
+engine and the tests share it without import-cycle risk.
 """
 
 from __future__ import annotations
@@ -64,24 +62,6 @@ def anchored_best_order(
     """
     rest = sorted(order[1:], key=lambda name: (selectivities[name], name))
     return (order[0], *rest)
-
-
-def worst_adjacent_inversion(
-    order: Sequence[str], selectivities: Mapping[str, float]
-) -> float:
-    """Largest adjacent selectivity drop among the probed streams.
-
-    Zero when the probe suffix is already sorted ascending; the magnitude
-    is the tolerance knob :class:`repro.plans.SelectivityOptimizer`
-    compares against before proposing a reorder.
-    """
-    worst = 0.0
-    probed = order[1:]
-    for a, b in zip(probed, probed[1:]):
-        gap = selectivities[a] - selectivities[b]
-        if gap > worst:
-            worst = gap
-    return worst
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,6 @@ def _n_join_process(self: JoinOperator, tup: Any, child: Any) -> None:
     opposite.probes += 1
     if matches:
         opposite.hits += 1
-    if self.probe_observer is not None:
-        self.probe_observer(opposite, bool(matches))
     for match in matches:
         result = CompositeTuple.of(tup, match)
         if self.state.add(result):  # jisclint: disable=JISC004

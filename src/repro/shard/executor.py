@@ -156,13 +156,6 @@ class RebalanceScheduler:
     def active(self) -> bool:
         return self.session is not None or self.next_index < self.plan.total_batches
 
-    def batches_remaining(self) -> int:
-        """Batches not yet fully settled (the telemetry gauge)."""
-        remaining = self.plan.total_batches - self.next_index
-        if self.session is not None:
-            remaining += 1
-        return remaining
-
     def owns(self, session: RebalanceSession) -> bool:
         return session is self.session
 

@@ -196,14 +196,6 @@ class ShardWorker:
         plan = strategy.plan  # type: ignore[attr-defined]
         return {name: scan.window.snapshot() for name, scan in plan.scans.items()}
 
-    def live_tuple_count(self) -> int:
-        """How many live tuples this worker's windows hold, across streams.
-
-        A shard drained by a scale-in plan must answer zero before it may
-        retire — the faults invariants check exactly that mid-resize.
-        """
-        return sum(len(tuples) for tuples in self.live_tuples().values())
-
     def replay(self, tuples: Sequence[StreamTuple]) -> int:
         """Re-feed moved-in tuples with their outputs muted.
 

@@ -12,11 +12,8 @@ snapshots, or the terminal dashboard (``python -m repro.telemetry.dash``).
 See docs/TELEMETRY.md.
 """
 
-from typing import TYPE_CHECKING
-
 from repro.telemetry.estimators import (
     ArrivalRateEstimator,
-    DecayedRatio,
     Ewma,
     PageHinkley,
     SampledRate,
@@ -40,38 +37,12 @@ from repro.telemetry.registry import (
     canonical_labels,
     series_name,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
-    from repro.telemetry.sketch import SpaceSavingSketch
-
-# The hub (and the sketch it uses) reach into the shard and engine
-# layers, which import repro.plans — whose optimizer imports the leaf
-# estimators above.  Loading them lazily keeps that chain acyclic while
-# `from repro.telemetry import TelemetryTracer` keeps working.
-_LAZY = {
-    "ShardTelemetry": ("repro.telemetry.hub", "ShardTelemetry"),
-    "TelemetryTracer": ("repro.telemetry.hub", "TelemetryTracer"),
-    "SpaceSavingSketch": ("repro.telemetry.sketch", "SpaceSavingSketch"),
-}
-
-
-def __getattr__(name: str):  # PEP 562
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
+from repro.telemetry.hub import ShardTelemetry, TelemetryTracer
+from repro.telemetry.sketch import SpaceSavingSketch
 
 __all__ = [
     "ArrivalRateEstimator",
     "Counter",
-    "DecayedRatio",
     "Ewma",
     "Gauge",
     "Histogram",

@@ -661,10 +661,6 @@ class TelemetryTracer(Tracer):
     def drift_events(self) -> int:
         return sum(e[0].drift_count for e in self._sel.values())
 
-    def clear_drift(self) -> None:
-        for entry in self._sel.values():
-            entry[0].clear()
-
     def selectivities(self) -> Dict[str, Optional[float]]:
         return {label: e[0].estimate() for label, e in sorted(self._sel.items())}
 
