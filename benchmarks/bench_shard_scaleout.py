@@ -65,7 +65,9 @@ def run():
                 assignment=skewed_assignment(64, 0),
             )
             ex.process_batch(tuples[:cut])
-            ex.rebalance(balanced_assignment(64, num_shards), mode)
+            ex.fluid_rebalance(
+                balanced_assignment(64, num_shards), mode, batch_keys=0
+            )
             ex.process_batch(tuples[cut:])
             latencies = sorted(ex.output_latencies())
             results.append(

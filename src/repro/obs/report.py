@@ -115,10 +115,10 @@ def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
     ``buckets`` / ``keys`` (scope announced at the trigger), ``settled``
     / ``retired`` (how each routed key was resolved) and ``tuples``
     (total live tuples replayed across shards).  An unfinished lazy
-    session has ``end is None``.
+    plan has ``end is None``.
 
-    A *fluid* rebalance (one plan, many batched sessions) appears as one
-    row carrying three extra keys: ``batch_keys`` (the granularity),
+    Every rebalance is one fluid plan of one or more batched sessions,
+    so each row also carries ``batch_keys`` (the granularity),
     ``batches`` (batches completed so far) with ``batches_planned`` from
     the trigger announcement, and ``batch_durations`` (per-batch open ->
     settle spans, in order) — the timeline behind the latency-vs-duration
@@ -142,12 +142,11 @@ def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
             "settled": 0,
             "retired": 0,
             "tuples": 0,
+            "batch_keys": start.data.get("batch_keys", 0),
+            "batches_planned": start.data.get("batches", 0),
+            "batches": 0,
+            "batch_durations": [],
         }
-        if start.data.get("fluid"):
-            row["batch_keys"] = start.data.get("batch_keys", 0)
-            row["batches_planned"] = start.data.get("batches", 0)
-            row["batches"] = 0
-            row["batch_durations"] = []
         for ev in events[at:window_end]:
             if ev.kind == EVENT_SHARD_MOVE:
                 if ev.data.get("retired"):
@@ -156,8 +155,8 @@ def rebalance_timeline(trace: Trace) -> List[Dict[str, Any]]:
                     row["settled"] += 1
                 row["tuples"] += ev.data.get("tuples", 0)
             elif ev.kind == EVENT_REBALANCE_BATCH_START:
-                row["keys"] = row.get("keys", 0) + ev.data.get("keys", 0)
-            elif ev.kind == EVENT_REBALANCE_BATCH_END and "batches" in row:
+                row["keys"] += ev.data.get("keys", 0)
+            elif ev.kind == EVENT_REBALANCE_BATCH_END:
                 row["batches"] += 1
                 row["batch_durations"].append(ev.data.get("duration", 0.0))
             elif ev.kind == EVENT_REBALANCE_END and row["end"] is None:
@@ -276,15 +275,14 @@ def render_report(trace: Trace, title: str = "") -> str:
                 f"      {row['settled']} settled / {row['retired']} retired, "
                 f"{row['tuples']} live tuple(s) replayed"
             )
-            if "batches" in row:
-                grain = row["batch_keys"] if row["batch_keys"] else "all"
-                durations = row["batch_durations"]
-                longest = max(durations) if durations else 0.0
-                lines.append(
-                    f"      fluid plan: batch_keys={grain}, "
-                    f"{row['batches']}/{row['batches_planned']} batch(es) "
-                    f"drained, longest batch {longest:.1f}"
-                )
+            grain = row["batch_keys"] if row["batch_keys"] else "all"
+            durations = row["batch_durations"]
+            longest = max(durations) if durations else 0.0
+            lines.append(
+                f"      fluid plan: batch_keys={grain}, "
+                f"{row['batches']}/{row['batches_planned']} batch(es) "
+                f"drained, longest batch {longest:.1f}"
+            )
     triggers = trace.of_kind(EVENT_TRIGGER)
     if triggers:
         fired = [ev for ev in triggers if ev.data.get("action") == "fired"]

@@ -190,17 +190,8 @@ class AdaptiveEngine:
         for event in events:
             if isinstance(event, TransitionEvent):
                 self.transition(event.new_spec)
-            elif isinstance(event, RebalanceEvent):
-                if event.batch_keys is None:
-                    self.target.rebalance(event.assignment, event.mode)
-                else:
-                    self.target.fluid_rebalance(
-                        event.assignment, event.mode, batch_keys=event.batch_keys
-                    )
-            elif isinstance(event, ResizeEvent):
-                self.target.resize(
-                    event.n_shards, event.mode, batch_keys=event.batch_keys
-                )
+            elif isinstance(event, (RebalanceEvent, ResizeEvent)):
+                self.target.run((event,))
             else:
                 self.process(event)
         return self
@@ -253,8 +244,9 @@ class AdaptiveEngine:
         evaluation window.  A fire builds a hot-key-weighted target from
         the union of the worker sketches and starts a fluid plan at the
         policy's granularity — never a stop-the-world rebalance.  While a
-        plan is still draining the policy is not consulted (one active
-        plan at a time; the executor would reject a second anyway).
+        plan is still draining the policy is not consulted: starting a
+        second plan would force-complete the first, defeating its
+        granularity.
         """
         policy = self.rebalance_policy
         target = self.target

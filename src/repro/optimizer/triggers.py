@@ -303,7 +303,7 @@ class RebalanceDecision:
     shard_loads: Tuple[float, ...] = ()
     imbalance: float = 0.0
     batch_keys: int = 0
-    mode: Optional[str] = None
+    mode: str = "lazy"
     hot_keys: Tuple[Any, ...] = field(default=())
 
     @property
@@ -352,7 +352,7 @@ class ShardImbalanceTrigger:
         confirm: int = 2,
         cooldown: int = 512,
         batch_keys: int = 4,
-        mode: Optional[str] = None,
+        mode: str = "lazy",
         min_load: float = 32.0,
     ):
         if max_imbalance < 1.0:

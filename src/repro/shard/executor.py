@@ -16,11 +16,14 @@ coordinator owns three things the workers must not (docs/SHARDING.md):
   completing arrival's ``T``) models a real input queue.  This is the
   quantity the lazy-vs-eager rebalance benchmark compares.
 
-* **Rebalancing.**  ``rebalance`` flips the bucket assignment and either
-  moves every affected key immediately (*eager*, the Megaphone-like
-  baseline) or marks them pending and completes each key just in time on
-  its first post-rebalance arrival (*lazy*, the JISC discipline); a
-  pending key whose live tuples all expire is retired, mirroring
+* **Rebalancing.**  Every bucket reassignment runs as one fluid plan
+  (:meth:`ShardedExecutor.fluid_rebalance`): the diff is split into
+  batches (``batch_keys=0`` is a single all-at-once batch), and each
+  batch flips its buckets and either moves every affected key
+  immediately (*eager*, the Megaphone-like baseline) or marks them
+  pending and completes each key just in time on its first
+  post-rebalance arrival (*lazy*, the JISC discipline); a pending key
+  whose live tuples all expire is retired, mirroring
   :meth:`repro.core.controller.JISCController._on_expiry`.
 
 Cross-shard state movement is strategy-agnostic: the key's live tuples
@@ -57,6 +60,7 @@ from repro.streams.window import SlidingWindow, TimeSlidingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.migration.base import SpecLike
+    from repro.telemetry.hub import ShardTelemetry
 
 #: One journaled worker command: (kind, payload, external time).
 LogEntry = Tuple[str, Any, float]
@@ -67,10 +71,9 @@ GlobalWindow = Union[SlidingWindow, TimeSlidingWindow]
 class RebalanceEvent:
     """A scheduled shard rebalance, interleavable with arrivals.
 
-    ``batch_keys`` selects the migration shape: ``None`` (default) runs
-    the classic single-session :meth:`ShardedExecutor.rebalance`; an int
-    runs a fluid plan at that granularity (``0`` = all-at-once through
-    the scheduler, ``1`` = per-key, ``n`` = batch-of-n).
+    Runs :meth:`ShardedExecutor.fluid_rebalance` at granularity
+    ``batch_keys`` (``0`` = all-at-once, ``1`` = per-key, ``n`` =
+    batch-of-n).
     """
 
     __slots__ = ("assignment", "mode", "batch_keys")
@@ -78,8 +81,8 @@ class RebalanceEvent:
     def __init__(
         self,
         assignment: Mapping[int, int],
-        mode: Optional[str] = None,
-        batch_keys: Optional[int] = None,
+        mode: str = "lazy",
+        batch_keys: int = 0,
     ):
         self.assignment = dict(assignment)
         self.mode = mode
@@ -97,9 +100,7 @@ class ResizeEvent:
 
     __slots__ = ("n_shards", "mode", "batch_keys")
 
-    def __init__(
-        self, n_shards: int, mode: Optional[str] = None, batch_keys: int = 0
-    ):
+    def __init__(self, n_shards: int, mode: str = "lazy", batch_keys: int = 0):
         self.n_shards = n_shards
         self.mode = mode
         self.batch_keys = batch_keys
@@ -156,9 +157,6 @@ class RebalanceScheduler:
     def active(self) -> bool:
         return self.session is not None or self.next_index < self.plan.total_batches
 
-    def owns(self, session: RebalanceSession) -> bool:
-        return session is self.session
-
     # -- progress ----------------------------------------------------------------------
 
     def on_arrival(self, t: float) -> None:
@@ -206,9 +204,8 @@ class RebalanceScheduler:
             )
         session = RebalanceSession(self.plan.mode, routes, started_at=t)
         self.session = session
-        ex._session = session
         if not routes:
-            ex._end_session(session, t)
+            self.on_batch_complete(session, t)
         elif self.plan.mode == "eager":
             for key in ex._ordered(routes):
                 ex._complete_key(session, key, t)
@@ -271,7 +268,6 @@ class ShardedExecutor:
         initial_spec: "SpecLike",
         num_shards: int = 2,
         strategy: str = "jisc",
-        rebalance_mode: str = "lazy",
         num_buckets: int = 64,
         cost_model: Optional[CostModel] = None,
         inter_arrival: float = 0.0,
@@ -279,14 +275,9 @@ class ShardedExecutor:
         metrics: Optional[Metrics] = None,
         assignment: Optional[Mapping[int, int]] = None,
     ):
-        if rebalance_mode not in ("lazy", "eager"):
-            raise ValueError(
-                f"rebalance_mode must be 'lazy' or 'eager', got {rebalance_mode!r}"
-            )
         self.schema = schema
         self.initial_spec = initial_spec
         self.strategy_name = strategy
-        self.rebalance_mode = rebalance_mode
         self.cost_model = cost_model
         self.inter_arrival = float(inter_arrival)
         self.join = join
@@ -308,7 +299,6 @@ class ShardedExecutor:
                 else TimeSlidingWindow(d.window)
             )
         self._live_by_key: Dict[Any, List[StreamTuple]] = {}
-        self._session: Optional[RebalanceSession] = None
         self._scheduler: Optional[RebalanceScheduler] = None
         self._current_spec: Optional["SpecLike"] = None
         self.moves: List[ShardMove] = []
@@ -321,7 +311,7 @@ class ShardedExecutor:
         self._merger = ShardMerger()
         #: Optional live-telemetry hub (set by ShardTelemetry); recovery
         #: notifies it so rebuilt workers re-register their series.
-        self.telemetry: Optional[Any] = None
+        self.telemetry: Optional["ShardTelemetry"] = None
 
     # -- construction helpers ----------------------------------------------------------
 
@@ -374,14 +364,16 @@ class ShardedExecutor:
         pre-rebalance owner even though the routing table already points
         at the destination.
         """
-        session = self._session
+        session = self.session
         if session is not None and session.is_pending(key):
             return session.route_of(key)[0]
         return self.partitioner.shard_of(key)
 
     @property
     def session(self) -> Optional[RebalanceSession]:
-        return self._session
+        """The active plan's open batch, or ``None`` between batches."""
+        scheduler = self._scheduler
+        return scheduler.session if scheduler is not None else None
 
     @property
     def scheduler(self) -> Optional[RebalanceScheduler]:
@@ -390,11 +382,9 @@ class ShardedExecutor:
 
     @property
     def rebalance_in_progress(self) -> bool:
-        """True while a fluid plan or a classic session is still pending."""
-        if self._scheduler is not None and self._scheduler.active:
-            return True
-        session = self._session
-        return session is not None and not session.complete
+        """True while a rebalance plan still has batches to drain."""
+        scheduler = self._scheduler
+        return scheduler is not None and scheduler.active
 
     @property
     def retired_shards(self) -> Set[int]:
@@ -402,7 +392,7 @@ class ShardedExecutor:
         return set(self._retired)
 
     def pending_keys(self) -> Set[Any]:
-        session = self._session
+        session = self.session
         return set(session.pending) if session is not None else set()
 
     def live_tuples(self) -> Dict[str, List[StreamTuple]]:
@@ -422,13 +412,13 @@ class ShardedExecutor:
             tracer.arrival(tup)
         for old in self._windows[tup.stream].push_all(tup):
             self._deliver_eviction(old, t)
+        key = tup.key
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler.on_arrival(t)
-        key = tup.key
-        session = self._session
-        if session is not None and session.is_pending(key):
-            self._complete_key(session, key, t)
+            session = scheduler.session
+            if session is not None and session.is_pending(key):
+                self._complete_key(session, key, t)
         owner = self.partitioner.shard_of(key)
         self._live_by_key.setdefault(key, []).append(tup)
         worker = self._worker(owner)
@@ -463,12 +453,9 @@ class ShardedExecutor:
             if isinstance(event, TransitionEvent):
                 self.transition(event.new_spec)
             elif isinstance(event, RebalanceEvent):
-                if event.batch_keys is None:
-                    self.rebalance(event.assignment, event.mode)
-                else:
-                    self.fluid_rebalance(
-                        event.assignment, event.mode, batch_keys=event.batch_keys
-                    )
+                self.fluid_rebalance(
+                    event.assignment, event.mode, batch_keys=event.batch_keys
+                )
             elif isinstance(event, ResizeEvent):
                 self.resize(event.n_shards, event.mode, batch_keys=event.batch_keys)
             else:
@@ -492,7 +479,7 @@ class ShardedExecutor:
                 pass
             if not live:
                 del self._live_by_key[key]
-        session = self._session
+        session = self.session
         if (
             session is not None
             and session.is_pending(key)
@@ -508,56 +495,10 @@ class ShardedExecutor:
 
     # -- rebalancing -------------------------------------------------------------------
 
-    def _reject_overlapping_plan(self, what: str) -> None:
-        scheduler = self._scheduler
-        if scheduler is not None and scheduler.active:
-            raise RuntimeError(
-                f"cannot {what}: a fluid rebalance plan is still active "
-                f"(batch {scheduler.next_index + 1}/{scheduler.plan.total_batches}); "
-                f"one active plan at a time — let it drain or call "
-                f"scheduler.drain() first"
-            )
-
-    def rebalance(
-        self, assignment: Mapping[int, int], mode: Optional[str] = None
-    ) -> RebalanceSession:
-        """Adopt a new bucket assignment; move key state per ``mode``."""
-        self._check_live()
-        self._reject_overlapping_plan("rebalance")
-        if mode is None:
-            mode = self.rebalance_mode
-        t = self._now()
-        # Drain any still-pending single session first: routes must not
-        # stack.  (Overlap with a *fluid plan* is rejected above instead —
-        # the scheduler owns multi-batch interleaving; this force-drain
-        # stays reachable for plain back-to-back single-session callers.)
-        previous = self._session
-        if previous is not None:
-            for key in self._ordered(previous.pending):
-                self._complete_key(previous, key, t)
-        moved = self.partitioner.moves_to(assignment)
-        live_by_bucket: Dict[int, List[Any]] = {}
-        for key in self._live_by_key:
-            live_by_bucket.setdefault(self.partitioner.bucket_of(key), []).append(key)
-        routes = plan_key_routes(moved, live_by_bucket)
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            tracer.rebalance_start(mode, buckets=len(moved), keys=len(routes))
-        self.partitioner.apply(assignment)
-        self.rebalances += 1
-        session = RebalanceSession(mode, routes, started_at=t)
-        self._session = session
-        if not routes:
-            self._end_session(session, t)
-        elif mode == "eager":
-            for key in self._ordered(routes):
-                self._complete_key(session, key, t)
-        return session
-
     def fluid_rebalance(
         self,
         assignment: Mapping[int, int],
-        mode: Optional[str] = None,
+        mode: str = "lazy",
         batch_keys: int = 1,
         _resize_to: Optional[int] = None,
     ) -> FluidRebalancePlan:
@@ -570,19 +511,12 @@ class ShardedExecutor:
         whole reconfiguration (Megaphone's fluid migration), and a lazy
         plan bounds how many keys are simultaneously pending.  The first
         batch opens immediately; each later batch opens on the first
-        arrival after its predecessor settles.  Exactly one plan may be
-        active at a time.
+        arrival after its predecessor settles.  One plan is active at a
+        time: a plan still draining is force-completed first, so key
+        routes never chain.
         """
-        self._check_live()
-        self._reject_overlapping_plan("start a fluid rebalance")
-        if mode is None:
-            mode = self.rebalance_mode
+        self.drain_rebalance()
         t = self._now()
-        # A still-pending *single* session force-drains, same as rebalance().
-        previous = self._session
-        if previous is not None:
-            for key in self._ordered(previous.pending):
-                self._complete_key(previous, key, t)
         moved = self.partitioner.moves_to(assignment)
         live_per_bucket: Dict[int, int] = {}
         for key in self._live_by_key:
@@ -597,7 +531,6 @@ class ShardedExecutor:
                 "buckets": len(moved),
                 "batches": plan.total_batches,
                 "batch_keys": plan.batch_keys,
-                "fluid": True,
             }
             if _resize_to is not None:
                 data["resize_to"] = _resize_to
@@ -616,7 +549,7 @@ class ShardedExecutor:
     def resize(
         self,
         n_shards: int,
-        mode: Optional[str] = None,
+        mode: str = "lazy",
         batch_keys: int = 0,
     ) -> FluidRebalancePlan:
         """Scale the worker pool to ``n_shards`` mid-stream.
@@ -627,12 +560,12 @@ class ShardedExecutor:
         the plan's last batch settles.  Either direction is an ordinary
         fluid plan toward the round-robin table over the new pool, so
         granularity, lazy/eager completion, per-batch journaling, and
-        crash recovery all apply mid-resize.
+        crash recovery all apply mid-resize.  A plan still draining is
+        force-completed before the pool size is read.
         """
-        self._check_live()
-        self._reject_overlapping_plan("resize")
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
+        self.drain_rebalance()
         old = self.num_shards
         if n_shards == old:
             raise ValueError(f"already at {n_shards} shard(s)")
@@ -650,7 +583,7 @@ class ShardedExecutor:
         )
 
     def drain_rebalance(self) -> None:
-        """Force-complete any in-flight fluid plan or classic session.
+        """Force-complete the in-flight rebalance plan, if any.
 
         A lazy plan normally drains through arrivals (just-in-time
         settles plus expiries); call this to finish it at the current
@@ -662,11 +595,6 @@ class ShardedExecutor:
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler.drain(t)
-            return
-        session = self._session
-        if session is not None and not session.complete:
-            for key in self._ordered(session.pending):
-                self._complete_key(session, key, t)
 
     def _spawn_worker(self, shard: int, t: float) -> None:
         """Create (or re-create) the worker for a scale-out shard."""
@@ -690,9 +618,7 @@ class ShardedExecutor:
             worker.transition(self._current_spec)
             self._logs[shard].append(("transition", self._current_spec, t))
         if self.telemetry is not None:
-            on_added = getattr(self.telemetry, "on_worker_added", None)
-            if on_added is not None:
-                on_added(shard, worker)
+            self.telemetry.on_worker_added(shard, worker)
 
     def _retire_shards(self, n_shards: int, t: float) -> None:
         """Drop the drained workers above ``n_shards`` after a scale-in."""
@@ -707,9 +633,7 @@ class ShardedExecutor:
             if tracer.enabled:
                 tracer.note("shard_retired", shard=shard, at=t)
             if self.telemetry is not None:
-                on_retired = getattr(self.telemetry, "on_worker_retired", None)
-                if on_retired is not None:
-                    on_retired(shard)
+                self.telemetry.on_worker_retired(shard)
         self.partitioner.shrink(n_shards)
 
     def _complete_key(self, session: RebalanceSession, key: Any, t: float) -> None:
@@ -740,23 +664,11 @@ class ShardedExecutor:
             self._end_session(session, t)
 
     def _end_session(self, session: RebalanceSession, t: float) -> None:
-        if self._session is session:
-            self._session = None
+        # A batch drained: the scheduler emits the batch event (and the
+        # plan-level rebalance_end once the last batch goes).
         scheduler = self._scheduler
-        if scheduler is not None and scheduler.owns(session):
-            # A fluid batch drained: the scheduler emits the batch event
-            # (and the plan-level rebalance_end once the last batch goes).
+        if scheduler is not None:
             scheduler.on_batch_complete(session, t)
-            return
-        tracer = self.metrics.tracer
-        if tracer.enabled:
-            settled = sum(1 for m in self.moves if not m.retired)
-            tracer.rebalance_end(
-                session.mode,
-                keys=len(session.routes),
-                settled=settled,
-                started_at=session.started_at,
-            )
 
     # -- merged output -----------------------------------------------------------------
 

@@ -1,12 +1,15 @@
 """Rebalance bookkeeping: JISC-style lazy completion of cross-shard moves.
 
 A rebalance reassigns buckets; the *keys* live in the buckets, and each
-affected key's state must move from its old owner to its new one.  Two
+affected key's state must move from its old owner to its new one.  The
+reassignment runs as a :class:`FluidRebalancePlan` of one or more
+batches, each tracked by one :class:`RebalanceSession` in one of two
 modes (docs/SHARDING.md):
 
 * **eager** — the Megaphone-like / Moving-State-like baseline: every
-  affected key moves at rebalance time, all at once.  One big stall,
-  exactly the latency signature of Figure 10's eager migration.
+  affected key of a batch moves when the batch opens, all at once.  An
+  all-at-once plan is one big stall, exactly the latency signature of
+  Figure 10's eager migration.
 
 * **lazy** — the JISC discipline applied to shard state: the assignment
   flips immediately, but a key's state moves **just in time**, on the
@@ -26,7 +29,7 @@ coordinator's view of shard state.  This module is the sanctioned caller
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Set, Tuple
 
 from repro.operators.state import StateStatus
 
@@ -131,8 +134,11 @@ class FluidRebalancePlan:
 
     * ``1`` — per-key moves (finest; longest reconfiguration),
     * ``n`` — batch-of-n key groups,
-    * ``0`` / ``None`` — all-at-once (one batch; the classic session
-      expressed through the scheduler).
+    * ``0`` — all-at-once (one batch, one session: the coarsest point on
+      the same axis, not a separate mechanism).
+
+    Every bucket reassignment the executor performs is one of these
+    plans.
 
     Buckets are atomic — a bucket's keys always travel together, so a
     batch is a run of consecutive moved buckets whose *live* key count
@@ -149,7 +155,7 @@ class FluidRebalancePlan:
         self,
         target: Mapping[int, int],
         mode: str,
-        batch_keys: Optional[int],
+        batch_keys: int,
         batches: List[List[BucketMove]],
         started_at: float,
     ):
@@ -157,7 +163,7 @@ class FluidRebalancePlan:
             raise ValueError(f"rebalance mode must be 'lazy' or 'eager', got {mode!r}")
         self.target = dict(target)
         self.mode = mode
-        self.batch_keys = int(batch_keys) if batch_keys else 0
+        self.batch_keys = int(batch_keys)
         self.batches: Tuple[Tuple[BucketMove, ...], ...] = tuple(
             tuple(batch) for batch in batches
         )
@@ -170,7 +176,7 @@ class FluidRebalancePlan:
         live_keys_per_bucket: Mapping[int, int],
         target: Mapping[int, int],
         mode: str,
-        batch_keys: Optional[int],
+        batch_keys: int,
         started_at: float,
     ) -> "FluidRebalancePlan":
         """Group a bucket-move diff (in bucket order) into batches.
@@ -180,7 +186,7 @@ class FluidRebalancePlan:
         at each batch's open time, so these counts only shape the
         decomposition, never correctness.
         """
-        limit = int(batch_keys) if batch_keys else 0
+        limit = int(batch_keys)
         batches: List[List[BucketMove]] = []
         if limit <= 0:
             if moved:

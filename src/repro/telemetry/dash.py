@@ -110,13 +110,15 @@ def render_frame(telemetry: ShardTelemetry, processed: int, total: int) -> str:
         f"repro telemetry — {executor.name} — "
         f"{processed}/{total} arrivals — {len(registry)} series"
     )
-    pending = executor.pending_keys()
-    session = executor.session
-    rebalance = (
-        f"rebalance: {session.mode} session, {len(pending)} keys pending"
-        if session is not None
-        else f"rebalance: idle ({executor.rebalances} completed)"
-    )
+    scheduler = executor.scheduler
+    if executor.rebalance_in_progress and scheduler is not None:
+        plan = scheduler.plan
+        rebalance = (
+            f"rebalance: {plan.mode} plan, batch {scheduler.next_index + 1}/"
+            f"{plan.total_batches}, {len(executor.pending_keys())} keys pending"
+        )
+    else:
+        rebalance = f"rebalance: idle ({executor.rebalances} completed)"
     settled = sum(1 for m in executor.moves if not m.retired)
     retired = sum(1 for m in executor.moves if m.retired)
     lines.append(f"{rebalance}; moves settled={settled} retired={retired}")
@@ -192,7 +194,7 @@ def run_dashboard(
     processed = 0
     for event in events:
         if isinstance(event, RebalanceEvent):
-            executor.rebalance(event.assignment, event.mode)
+            executor.run((event,))
             continue
         executor.process(event)
         processed += 1

@@ -21,9 +21,9 @@ Three properties pin down the fluid-plan contract
   crash-free run.
 
 Plus deterministic rows: crash-during-batch across all six strategies
-and both resize directions, plan-overlap rejection (one active plan at a
-time) with the classic force-drain path kept reachable, resizes under a
-mid-stream plan transition, and the telemetry/obs surface of a plan.
+and both resize directions, one active plan at a time (a new plan
+force-completes a pending one), resizes under a mid-stream plan
+transition, and the telemetry/obs surface of a plan.
 """
 
 import random
@@ -215,7 +215,7 @@ def test_crash_during_in_flight_batch_all_strategies(strategy, shape):
     assert MultiSet(ex.output_lineages()) == oracle_multiset(seed)
 
 
-# -- one active plan at a time (satellite: overlap rejection + force-drain) -----------
+# -- one active plan at a time: a new plan force-completes the pending one -----------
 
 
 def _mid_plan_executor():
@@ -229,19 +229,6 @@ def _mid_plan_executor():
     return ex
 
 
-def test_overlapping_plans_are_rejected():
-    ex = _mid_plan_executor()
-    with pytest.raises(RuntimeError, match="one active plan at a time"):
-        ex.rebalance(skewed_assignment(64, 1))
-    with pytest.raises(RuntimeError, match="one active plan at a time"):
-        ex.fluid_rebalance(skewed_assignment(64, 1), batch_keys=2)
-    with pytest.raises(RuntimeError, match="one active plan at a time"):
-        ex.resize(4)
-    # the rejection left the plan intact and drainable
-    ex.scheduler.drain(ex.makespan())
-    assert not ex.rebalance_in_progress
-
-
 def test_drained_plan_admits_the_next_one():
     ex = _mid_plan_executor()
     ex.drain_rebalance()
@@ -249,32 +236,53 @@ def test_drained_plan_admits_the_next_one():
     assert ex.num_shards == 4
 
 
-def test_classic_force_drain_path_stays_reachable():
-    """Single-session callers keep the old semantics: a second classic
-    ``rebalance()`` over a still-pending lazy session force-drains it
-    rather than erroring — and the output stays oracle-exact."""
+#: plan kind -> (start it as the first plan, start it as the second plan); each
+#: returns the routing table the plan drives toward.
+PLAN_KINDS = {
+    "one_batch": (
+        lambda ex, mode: _rebalance_to(ex, balanced_assignment(64, 2), mode, 0),
+        lambda ex, mode: _rebalance_to(ex, skewed_assignment(64, 1), mode, 0),
+    ),
+    "batch_of_2": (
+        lambda ex, mode: _rebalance_to(ex, balanced_assignment(64, 2), mode, 2),
+        lambda ex, mode: _rebalance_to(ex, skewed_assignment(64, 1), mode, 2),
+    ),
+    "resize": (
+        lambda ex, mode: _resize_to(ex, 3, mode),
+        lambda ex, mode: _resize_to(ex, 4, mode),
+    ),
+}
+
+
+def _rebalance_to(ex, assignment, mode, batch_keys):
+    ex.fluid_rebalance(assignment, mode, batch_keys=batch_keys)
+    return assignment
+
+
+def _resize_to(ex, n_shards, mode):
+    ex.resize(n_shards, mode, batch_keys=0)
+    return balanced_assignment(64, n_shards)
+
+
+@pytest.mark.parametrize("second", sorted(PLAN_KINDS))
+@pytest.mark.parametrize("first", sorted(PLAN_KINDS))
+def test_new_plan_force_completes_the_pending_one(first, second):
+    """A plan started while a lazy plan is still pending drains that plan
+    first, so key routes never chain and the output stays oracle-exact."""
     tuples = _tuples(0)
-    ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
+    ex = ShardedExecutor(
+        SCHEMA, NAMES, num_shards=2, strategy="jisc",
+        assignment=skewed_assignment(64, 0),
+    )
     ex.process_batch(tuples[:50])
-    first = ex.rebalance(skewed_assignment(64, 0), "lazy")
-    assert not first.complete
-    ex.rebalance(balanced_assignment(64, 2), "lazy")  # drains, no error
-    assert first.complete
+    PLAN_KINDS[first][0](ex, "lazy")
+    pending = ex.scheduler
+    assert pending is not None and ex.pending_keys()
+    target = PLAN_KINDS[second][1](ex, "lazy")
+    assert not pending.active
     ex.process_batch(tuples[50:])
-    got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
-    assert got == oracle_multiset(0)
-
-
-def test_fluid_plan_force_drains_pending_classic_session():
-    tuples = _tuples(0)
-    ex = ShardedExecutor(SCHEMA, NAMES, num_shards=2, strategy="jisc")
-    ex.process_batch(tuples[:50])
-    classic = ex.rebalance(skewed_assignment(64, 0), "lazy")
-    assert not classic.complete
-    ex.fluid_rebalance(balanced_assignment(64, 2), "eager", batch_keys=2)
-    assert classic.complete
     ex.drain_rebalance()
-    ex.process_batch(tuples[50:])
+    assert ex.partitioner.snapshot() == target
     got = MultiSet(tuple(sorted(l)) for l in ex.output_lineages())
     assert got == oracle_multiset(0)
 

@@ -66,7 +66,9 @@ def test_make_strategy_rejects_unknown_name():
 def test_executor_rejects_bad_mode_and_strategy():
     schema = Schema.uniform(NAMES, 8)
     with pytest.raises(ValueError):
-        ShardedExecutor(schema, NAMES, rebalance_mode="hopeful")
+        ShardedExecutor(schema, NAMES).fluid_rebalance(
+            skewed_assignment(64, 0), mode="hopeful"
+        )
     with pytest.raises(ValueError):
         ShardedExecutor(schema, NAMES, strategy="megaphone")
 
@@ -166,7 +168,8 @@ def test_state_owner_tracks_pending_keys():
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
     before = {key: ex.state_owner(key) for key in ex.pending_keys() or range(6)}
-    session = ex.rebalance(skewed_assignment(64, 1), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, 1), "lazy", batch_keys=0)
+    session = ex.session
     pending = ex.pending_keys()
     assert pending  # the workload keeps several keys live
     for key in pending:
@@ -183,8 +186,8 @@ def test_state_owner_tracks_pending_keys():
 def test_rebalance_with_no_live_keys_completes_immediately():
     schema = Schema.uniform(NAMES, 8)
     ex = ShardedExecutor(schema, NAMES, num_shards=2)
-    session = ex.rebalance(skewed_assignment(64, 0), "lazy")
-    assert session.complete
+    ex.fluid_rebalance(skewed_assignment(64, 0), "lazy", batch_keys=0)
+    assert not ex.rebalance_in_progress
     assert ex.session is None
     assert ex.moves == []
 
@@ -204,7 +207,7 @@ def test_tracer_records_rebalance_events():
         metrics=Metrics(clock=clock, tracer=tracer),
     )
     ex.process_batch(tuples[:100])
-    ex.rebalance(skewed_assignment(64, 0), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, 0), "lazy", batch_keys=0)
     ex.process_batch(tuples[100:])
     trace = tracer.as_trace()
     starts = trace.of_kind(EVENT_REBALANCE_START)

@@ -45,7 +45,7 @@ def test_crashed_shard_blocks_feeding_until_recovered():
     with pytest.raises(RuntimeError, match="crashed"):
         ex.transition(("C", "B", "A"))
     with pytest.raises(RuntimeError, match="crashed"):
-        ex.rebalance(skewed_assignment(64, 1))
+        ex.fluid_rebalance(skewed_assignment(64, 1), batch_keys=0)
     with pytest.raises(RuntimeError):
         ex.crash_shard(0)  # already down
     ex.recover_shard(0)
@@ -95,7 +95,7 @@ def test_crash_during_pending_lazy_rebalance():
     schema, tuples = workload(n=240)
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
-    ex.rebalance(skewed_assignment(64, 1), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, 1), "lazy", batch_keys=0)
     ex.process_batch(tuples[120:140])  # some keys settled, some pending
     ex.crash_and_recover(1)
     if ex.pending_keys():

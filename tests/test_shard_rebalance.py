@@ -70,18 +70,19 @@ def test_eager_rebalance_moves_everything_at_once():
     schema, tuples = workload()
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
-    session = ex.rebalance(skewed_assignment(64, 1), "eager")
-    assert session.complete
+    plan = ex.fluid_rebalance(skewed_assignment(64, 1), "eager", batch_keys=0)
+    assert not ex.rebalance_in_progress
     assert ex.session is None
     moved = [m for m in ex.moves if not m.retired]
-    assert moved and all(m.at == session.started_at for m in moved)
+    assert moved and all(m.at == plan.started_at for m in moved)
 
 
 def test_lazy_rebalance_completes_keys_just_in_time():
     schema, tuples = workload()
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
-    session = ex.rebalance(skewed_assignment(64, 1), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, 1), "lazy", batch_keys=0)
+    session = ex.session
     pending_at_start = set(session.pending)
     assert pending_at_start
     assert not [m for m in ex.moves if m.at == session.started_at and not m.retired]
@@ -102,7 +103,8 @@ def test_lazy_pending_key_retires_on_expiry():
     # key 0 arrives once, then only other keys flow
     ex.process(StreamTuple("A", 0, 0))
     other_shard = 1 - ex.partitioner.shard_of(0)
-    session = ex.rebalance(skewed_assignment(64, other_shard), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, other_shard), "lazy", batch_keys=0)
+    session = ex.session
     assert session.is_pending(0)
     for seq in range(1, 6):
         ex.process(StreamTuple("A", seq, 99))
@@ -116,12 +118,15 @@ def test_back_to_back_rebalances_drain_the_previous_session():
     schema, tuples = workload()
     ex = ShardedExecutor(schema, NAMES, num_shards=2, inter_arrival=1.0)
     ex.process_batch(tuples[:120])
-    first = ex.rebalance(skewed_assignment(64, 0), "lazy")
+    ex.fluid_rebalance(skewed_assignment(64, 0), "lazy", batch_keys=0)
+    first = ex.session
     assert not first.complete
-    second = ex.rebalance(balanced_assignment(64, 2), "lazy")
+    ex.fluid_rebalance(balanced_assignment(64, 2), "lazy", batch_keys=0)
+    second = ex.session
     # the first session was force-drained before the second took over
     assert first.complete
-    assert ex.session is second or second.complete
+    assert second is not first
+    assert (second is None) == (not ex.rebalance_in_progress)
     ex.process_batch(tuples[120:])
     expected = join_oracle_lineages(schema, NAMES, tuples)
     assert MultiSet(ex.output_lineages()) == MultiSet(
@@ -149,7 +154,7 @@ def test_lazy_has_lower_max_latency_than_eager_on_hotspot_fix():
             assignment=skewed_assignment(64, 0),
         )
         ex.process_batch(tuples[:200])
-        ex.rebalance(balanced_assignment(64, 2), mode)
+        ex.fluid_rebalance(balanced_assignment(64, 2), mode, batch_keys=0)
         ex.process_batch(tuples[200:])
         results[mode] = ex
     lazy, eager = results["lazy"], results["eager"]

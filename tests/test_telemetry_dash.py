@@ -128,3 +128,28 @@ class TestAdaptiveLine:
         frames = list(run_dashboard(shards=2, tuples=200, window=48, seed=0, once=True))
         frame, _ = frames[0]
         assert "adaptive:" not in frame
+
+
+class TestRebalanceLine:
+    def test_line_tracks_a_live_plan_between_batches(self):
+        from repro.shard import ShardedExecutor, skewed_assignment
+        from repro.telemetry import ShardTelemetry
+        from repro.telemetry.dash import render_frame
+
+        schema, events = demo_events(shards=2, tuples=400, window=48, seed=0)
+        arrivals = [e for e in events if not isinstance(e, RebalanceEvent)]
+        ex = ShardedExecutor(schema, schema.names, num_shards=2, inter_arrival=1.0)
+        telemetry = ShardTelemetry(ex)
+        ex.process_batch(arrivals[:200])
+        # An eager per-key plan settles each batch as it opens, so no
+        # session is open between arrivals while later batches remain.
+        plan = ex.fluid_rebalance(skewed_assignment(64, 1), "eager", batch_keys=1)
+        assert plan.total_batches > 2 and ex.session is None
+        frame = render_frame(telemetry, 200, 400)
+        assert f"rebalance: eager plan, batch 2/{plan.total_batches}, " in frame
+        ex.process(arrivals[200])
+        frame = render_frame(telemetry, 201, 400)
+        assert f"rebalance: eager plan, batch 3/{plan.total_batches}, " in frame
+        ex.drain_rebalance()
+        frame = render_frame(telemetry, 201, 400)
+        assert "rebalance: idle (1 completed)" in frame

@@ -214,7 +214,7 @@ class TestShardTelemetry:
         telemetry = ShardTelemetry(ex)
         cut = len(tuples) // 2
         ex.process_batch(tuples[:cut])
-        ex.rebalance(balanced_assignment(64, 4), "lazy")
+        ex.fluid_rebalance(balanced_assignment(64, 4), "lazy", batch_keys=0)
         ex.process_batch(tuples[cut:])
         telemetry.sync()
         reg = telemetry.registry
