@@ -55,6 +55,10 @@ class JISCController:
         self.freshness = FreshnessRegistry()
         self.info: Dict[Operator, JISCStateInfo] = {}
         self.incomplete_ops: Set[BinaryOperator] = set()
+        # ``incomplete_ops`` in retirement order, each op with its
+        # stream -> child table (see :meth:`refresh_incomplete`).  Replaced,
+        # never mutated in place, so a loop over it walks a snapshot.
+        self._retirement: Tuple[Tuple[BinaryOperator, Dict[str, Operator]], ...] = ()
         self.plan: Optional[PhysicalPlan] = None
         self.current_fresh = True
         self.current_part: Optional[Tuple[str, int]] = None
@@ -91,9 +95,23 @@ class JISCController:
                 self._expired_tuple_is_fresh if self.expiry_optimization else None
             )
             scan.expire_hook = self._on_expiry
+        self.refresh_incomplete(plan)
+
+    def refresh_incomplete(self, plan: PhysicalPlan) -> None:
+        """Rebuild the incomplete set and its retirement order from ``plan``.
+
+        The order is sorted by membership once per change of the set, so
+        retire/complete decisions happen in a run-independent order (set
+        iteration order varies with the hash seed) without a sort per
+        eviction.
+        """
         self.incomplete_ops = {
             op for op in plan.internal if not op.state.status.complete
         }
+        self._retirement = tuple(
+            (op, _child_by_stream(op))
+            for op in sorted(self.incomplete_ops, key=lambda o: sorted(o.membership))
+        )
 
     # -- arrival path ----------------------------------------------------------
 
@@ -190,7 +208,11 @@ class JISCController:
 
     def _mark_complete(self, op: BinaryOperator) -> None:
         op.state.status.mark_complete()
-        self.incomplete_ops.discard(op)
+        if op in self.incomplete_ops:
+            self.incomplete_ops.discard(op)
+            self._retirement = tuple(
+                entry for entry in self._retirement if entry[0] is not op
+            )
         self.info.pop(op, None)
         self._notify_parent(op)
 
@@ -298,10 +320,14 @@ class JISCController:
         counter contribution is released (otherwise a never-probed value
         would keep the state incomplete forever).
         """
+        retirement = self._retirement
+        if not retirement:
+            return
         key = tup.key
-        # Sorted by membership so retire/complete decisions happen in a
-        # run-independent order (set iteration order varies with hash seed).
-        for op in sorted(self.incomplete_ops, key=lambda o: sorted(o.membership)):
+        stream = tup.stream
+        # A completion inside the loop replaces ``_retirement``; this walk
+        # keeps the order as it stood when the eviction arrived.
+        for op, child_by_stream in retirement:
             status = op.state.status
             if status.pending is None or key not in status.pending:
                 continue
@@ -311,9 +337,7 @@ class JISCController:
             # The expired tuple lives under exactly one child; the check is
             # only valid against a *complete* child state (an incomplete one
             # under-counts old entries, which would retire prematurely).
-            side = op.left if tup.stream in op.left.membership else (
-                op.right if tup.stream in op.right.membership else None
-            )
+            side = child_by_stream.get(stream)
             if side is None or not side.state.status.complete:
                 continue
             threshold = info.transition_seq
@@ -325,3 +349,10 @@ class JISCController:
                 status.pending.discard(key)
                 if not status.pending:
                     self._mark_complete(op)
+
+
+def _child_by_stream(op: BinaryOperator) -> Dict[str, Operator]:
+    """Stream name -> the child of ``op`` whose (disjoint) membership holds it."""
+    table = dict.fromkeys(op.left.membership, op.left)
+    table.update(dict.fromkeys(op.right.membership, op.right))
+    return table

@@ -9,7 +9,11 @@ the numbers the regression gate tracks:
 
 * ``fig9``  — normal operation, 20 joins, no transitions (throughput);
 * ``fig7``  — best-case migration stages across plan sizes (migration);
-* ``fig10`` — transition-to-first-output latency, hash and NL joins.
+* ``fig10`` — transition-to-first-output latency, hash and NL joins;
+* ``migrate`` — 10-join chain (window 80, 100 keys) with a worst-case
+  transition every 500 arrivals: the only scenario where pending-value
+  retirement runs on most window evictions (``fig7`` is best-case and
+  ``fig10`` has one transition).
 
 ``--scale`` shrinks the tuple volume for quick iteration; the default
 (1.0) matches the committed benchmark shapes.
@@ -27,6 +31,10 @@ from repro.experiments.common import (
     measure_migration_stage,
     measure_normal_operation,
 )
+from repro.migration.jisc import JISCStrategy
+from repro.plans.transitions import worst_case_transition
+from repro.streams.generators import UniformWorkload
+from repro.streams.schema import Schema
 
 
 def run_fig9(scale: float) -> Any:
@@ -56,10 +64,26 @@ def run_fig10(scale: float) -> Any:
     ]
 
 
+def run_migrate(scale: float) -> Any:
+    chain = tuple(f"S{i:02d}" for i in range(11))
+    orders = (chain, worst_case_transition(chain))
+    every = 500
+    arrivals = UniformWorkload(
+        chain, max(2 * every, int(24_000 * scale)), 100, seed=14
+    ).materialize()
+    strategy = JISCStrategy(Schema.uniform(chain, 80), chain)
+    for i, tup in enumerate(arrivals):
+        if i and i % every == 0:
+            strategy.transition(orders[(i // every) % 2])
+        strategy.process(tup)
+    return strategy
+
+
 SCENARIOS: Dict[str, Callable[[float], Any]] = {
     "fig9": run_fig9,
     "fig7": run_fig7,
     "fig10": run_fig10,
+    "migrate": run_migrate,
 }
 
 

@@ -29,12 +29,31 @@ def stable_hash(key: Any) -> int:
     Built-in ``hash`` is salted per process (``PYTHONHASHSEED``), which
     would make shard placement — and therefore per-shard op counts and
     merged output order — nondeterministic across runs.  Hashing the
-    canonical ``repr`` through blake2b is stable everywhere Python is.
-    Keys must have a deterministic ``repr`` (ints, strings, and tuples
-    thereof all qualify; the engine's workloads use ints).
+    ``repr`` of the canonical key through blake2b is stable everywhere
+    Python is.  Keys the join treats as equal must hash alike, so numeric
+    keys are canonicalized first (recursing into tuples): ``bool``, other
+    ``int`` subclasses and integral ``float`` hash as the equal ``int``
+    (``1``, ``1.0`` and ``True`` share a bucket).  ``int`` and ``str``
+    keys hash their own ``repr`` unchanged.  Keys must otherwise have a
+    deterministic ``repr`` (ints, strings, and tuples thereof all
+    qualify; the engine's workloads use ints).
     """
-    data = repr(key).encode("utf-8", "backslashreplace")
+    data = repr(_canonical(key)).encode("utf-8", "backslashreplace")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def _canonical(key: Any) -> Any:
+    """``key`` with every number that equals an ``int`` replaced by it."""
+    kind = type(key)
+    if kind is int or kind is str:
+        return key
+    if isinstance(key, int):
+        return int(key)
+    if isinstance(key, float) and key.is_integer():
+        return int(key)
+    if isinstance(key, tuple):
+        return tuple(_canonical(part) for part in key)
+    return key
 
 
 class HashPartitioner:

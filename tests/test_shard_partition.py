@@ -14,6 +14,8 @@ import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
+from repro.migration.base import StaticPlanExecutor
+from repro.shard import ShardedExecutor
 from repro.shard.partition import (
     HashPartitioner,
     balanced_assignment,
@@ -21,6 +23,8 @@ from repro.shard.partition import (
     stable_hash,
     weighted_assignment,
 )
+from repro.streams.schema import Schema
+from repro.streams.tuples import StreamTuple
 
 keys = hst.one_of(
     hst.integers(min_value=-(2**40), max_value=2**40),
@@ -68,6 +72,24 @@ def test_stable_hash_survives_process_boundary():
 def test_stable_hash_spreads_small_ints():
     buckets = {stable_hash(k) % 64 for k in range(32)}
     assert len(buckets) > 16  # not degenerate clustering
+
+
+def test_keys_the_join_treats_as_equal_share_a_shard():
+    """``1``, ``1.0`` and ``True`` join as one key, so they must route alike."""
+    assert stable_hash(1) == stable_hash(1.0) == stable_hash(True)
+    assert stable_hash((1, "a")) == stable_hash((True, "a")) == stable_hash((1.0, "a"))
+    assert stable_hash(0) == stable_hash(-0.0) == stable_hash(False)
+    assert stable_hash(1.5) != stable_hash(1)
+
+    schema = Schema.uniform(("A", "B", "C"), window=8)
+    arrivals = [StreamTuple("A", 0, 1), StreamTuple("B", 1, 1.0), StreamTuple("C", 2, True)]
+    single = StaticPlanExecutor(schema, ("A", "B", "C"))
+    sharded = ShardedExecutor(schema, ("A", "B", "C"), num_shards=4)
+    for tup in arrivals:
+        single.process(tup)
+        sharded.process(tup)
+    assert len(single.output_lineages()) == 1
+    assert sorted(sharded.output_lineages()) == sorted(single.output_lineages())
 
 
 # -- totality and determinism --------------------------------------------------
